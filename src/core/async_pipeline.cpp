@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <exception>
+#include <optional>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -113,6 +114,22 @@ AsyncPipeline::run_epoch()
         match::FeaturePanel panel;
     };
 
+    // Per-GPU sequencer: gather consumers may receive windows out of
+    // order (any thread can pop any item), but the Match/Reorder chain
+    // is stateful per GPU, so windows are reordered back into sequence
+    // and processed under the GPU's lock — exactly the sequential
+    // pipeline's order, which is what keeps the modelled numbers
+    // bit-identical.
+    struct GpuState
+    {
+        std::mutex mu;
+        size_t next_window = 0;
+        /** Park table, one slot per window of this GPU: a window that
+         *  arrives ahead of next_window waits here until its turn. */
+        std::vector<std::optional<WindowItem>> parked;
+        match::Matcher matcher;
+    };
+    std::vector<GpuState> gpus(static_cast<size_t>(total));
     std::vector<std::vector<Pipeline::BatchRecord>> records(
         static_cast<size_t>(total));
     std::vector<std::vector<char>> filled(static_cast<size_t>(total));
@@ -121,6 +138,9 @@ AsyncPipeline::run_epoch()
         records[static_cast<size_t>(g)].assign(
             count, Pipeline::BatchRecord{});
         filled[static_cast<size_t>(g)].assign(count, 0);
+        gpus[static_cast<size_t>(g)].parked.resize(
+            (count + static_cast<size_t>(plan.window) - 1) /
+            static_cast<size_t>(plan.window));
     }
 
     util::BoundedQueue<WindowItem> batch_queue(async_.queue_depth);
@@ -142,65 +162,6 @@ AsyncPipeline::run_epoch()
         batch_queue.fail(error);
         compute_queue.fail(error);
     };
-
-    // Per-GPU sequencer: gather consumers may receive windows out of
-    // order (any thread can pop any item), but the Match/Reorder chain
-    // is stateful per GPU, so windows are reordered back into sequence
-    // and processed under the GPU's lock — exactly the sequential
-    // pipeline's order, which is what keeps the modelled numbers
-    // bit-identical.
-    struct GpuState
-    {
-        std::mutex mu;
-        size_t next_window = 0;
-        /**
-         * Reassembly ring indexed by window sequence number modulo its
-         * capacity (no per-window node allocations, unlike the former
-         * std::map). It is seeded with room for the usual number of
-         * in-flight windows — one per producer thread (claimed, not
-         * yet pushed), queue_depth in the batch queue, one per gather
-         * thread (popped, waiting on this lock) — but that count is an
-         * estimate, not a bound: windows already *parked* here also
-         * widen index - next_window, and when the window at
-         * next_window samples slowly (e.g. high-degree seeds) the
-         * other producers keep claiming later windows with no
-         * backpressure. grow() re-homes parked windows into a larger
-         * ring in that rare case, so the common path stays
-         * allocation-free while the semantics stay as unbounded as the
-         * map this replaced.
-         */
-        std::vector<WindowItem> ring;
-        std::vector<char> occupied;
-        match::Matcher matcher;
-
-        /** Double the ring until @p min_cap fits; caller holds mu. */
-        void grow(size_t min_cap)
-        {
-            size_t cap = ring.size();
-            while (cap < min_cap)
-                cap *= 2;
-            std::vector<WindowItem> bigger(cap);
-            std::vector<char> parked(cap, 0);
-            for (size_t i = 0; i < ring.size(); ++i) {
-                if (!occupied[i])
-                    continue;
-                const size_t slot = ring[i].ref.index % cap;
-                bigger[slot] = std::move(ring[i]);
-                parked[slot] = 1;
-            }
-            ring.swap(bigger);
-            occupied.swap(parked);
-        }
-    };
-    std::vector<GpuState> gpus(static_cast<size_t>(total));
-    // Common-case capacity; GpuState::grow() covers the overflow case.
-    const size_t initial_ring_cap = async_.queue_depth +
-                                    static_cast<size_t>(sampler_threads_) +
-                                    static_cast<size_t>(gather_threads_) + 1;
-    for (GpuState &state : gpus) {
-        state.ring.resize(initial_ring_cap);
-        state.occupied.assign(initial_ring_cap, 0);
-    }
 
     std::atomic<size_t> window_cursor{0};
     std::atomic<int64_t> windows_produced{0};
@@ -267,18 +228,11 @@ AsyncPipeline::run_epoch()
                 const size_t index = item->ref.index;
                 FASTGL_CHECK(index >= state.next_window,
                              "window sequence number regressed");
-                if (index - state.next_window >= state.ring.size())
-                    state.grow(index - state.next_window + 1);
-                const size_t cap = state.ring.size();
-                const size_t slot = index % cap;
-                state.ring[slot] = std::move(*item);
-                state.occupied[slot] = 1;
-                while (state.occupied[state.next_window % cap]) {
-                    const size_t head = state.next_window % cap;
-                    WindowItem window = std::move(state.ring[head]);
-                    state.ring[head] = WindowItem{};
-                    state.occupied[head] = 0;
-                    ++state.next_window;
+                state.parked[index] = std::move(*item);
+                while (state.next_window < state.parked.size() &&
+                       state.parked[state.next_window]) {
+                    WindowItem window = *std::exchange(
+                        state.parked[state.next_window++], std::nullopt);
 
                     const Clock::time_point t0 = Clock::now();
                     const std::vector<size_t> order =

@@ -54,52 +54,6 @@ greedy_reorder(const std::vector<std::vector<double>> &m)
 }
 
 ReorderResult
-greedy_reorder_anchored(const NodeSet &anchor,
-                        const std::vector<NodeSet> &batches)
-{
-    const int64_t n = static_cast<int64_t>(batches.size());
-    ReorderResult result;
-    if (n == 0)
-        return result;
-    const auto m = match_degree_matrix(batches);
-
-    // Pick the batch matching the anchor best as the chain head.
-    int64_t head = 0;
-    double best = -1.0;
-    for (int64_t k = 0; k < n; ++k) {
-        const double d = match_degree(anchor, batches[k]);
-        if (d > best) {
-            best = d;
-            head = k;
-        }
-    }
-
-    std::vector<bool> inserted(n, false);
-    result.order.push_back(head);
-    inserted[head] = true;
-    int64_t z = head;
-    for (int64_t i = 1; i < n; ++i) {
-        int64_t h = -1;
-        double top = -1.0;
-        for (int64_t k = 0; k < n; ++k) {
-            if (inserted[k])
-                continue;
-            if (m[z][k] > top) {
-                top = m[z][k];
-                h = k;
-            }
-        }
-        result.order.push_back(h);
-        inserted[h] = true;
-        result.chained_match += top;
-        z = h;
-    }
-    for (int64_t i = 1; i < n; ++i)
-        result.baseline_match += m[i - 1][i];
-    return result;
-}
-
-ReorderResult
 greedy_reorder_max_overlap(const NodeSet *anchor,
                            const std::vector<NodeSet> &batches,
                            util::ThreadPool *pool)

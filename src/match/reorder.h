@@ -40,16 +40,6 @@ ReorderResult greedy_reorder(const std::vector<NodeSet> &batches);
 ReorderResult greedy_reorder(const std::vector<std::vector<double>> &m);
 
 /**
- * Greedy chain anchored at an external node set: the first executed
- * batch is the one matching @p anchor best (instead of batch 0). Used by
- * the pipeline to chain consecutive Reorder windows — the anchor is the
- * batch resident on the GPU from the previous window, so the cross-window
- * hand-over also reuses overlap.
- */
-ReorderResult greedy_reorder_anchored(const NodeSet &anchor,
-                                      const std::vector<NodeSet> &batches);
-
-/**
  * Greedy chain on raw overlap counts instead of normalised match
  * degrees. Maximising the summed consecutive overlaps minimises the total
  * feature rows loaded (Σ|b_i| is fixed, loads = Σ|b_i| - Σ overlaps), so

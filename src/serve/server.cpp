@@ -352,10 +352,12 @@ Server::cost_batch(size_t tier, int device,
  * The shared virtual event machine behind serve() and serve_closed():
  * every batcher, cache, admission decision, profiler record, and
  * fingerprint fold lives here, driven strictly by one sequencer
- * thread. serve() replays a fixed arrival-ordered trace through it;
- * serve_closed() runs a client event loop that decides arrivals as it
- * goes. Both observe the identical per-request machinery, so the
- * open-loop fingerprints of earlier PRs are preserved bit-exactly.
+ * thread. drive() runs the stage graph once and hands the Engine to an
+ * arrival policy: serve() replays a fixed arrival-ordered trace and
+ * drains; serve_closed() runs a client event loop that decides
+ * arrivals as it goes. Both observe the identical per-request
+ * machinery, so the open-loop fingerprints of earlier PRs are
+ * preserved bit-exactly.
  */
 struct Server::Engine
 {
@@ -1019,30 +1021,32 @@ struct Server::Engine
 };
 
 std::vector<InferenceResponse>
-Server::serve(const std::vector<InferenceRequest> &trace)
+Server::drive(const std::vector<InferenceRequest> &requests,
+              const ArrivalPolicy &policy)
 {
     stats_ = ServingStats{};
     if (engine_)
         engine_->reset_stats();
     const Clock::time_point wall_start = Clock::now();
-    const size_t total = trace.size();
+    const size_t total = requests.size();
     const size_t num_tiers = tiers_.size();
 
     std::vector<InferenceResponse> responses(total);
     for (size_t i = 0; i < total; ++i) {
-        FASTGL_CHECK(trace[i].id == static_cast<int64_t>(i),
-                     "serve() needs dense trace ids 0..n-1 in order");
-        FASTGL_CHECK(trace[i].model >= 0 &&
-                         static_cast<size_t>(trace[i].model) < num_tiers,
+        FASTGL_CHECK(requests[i].id == static_cast<int64_t>(i),
+                     "serving needs dense request ids 0..n-1 in order");
+        FASTGL_CHECK(requests[i].model >= 0 &&
+                         static_cast<size_t>(requests[i].model) <
+                             num_tiers,
                      "request routed to a model tier the server "
                      "does not host");
-        responses[i].request_id = trace[i].id;
+        responses[i].request_id = requests[i].id;
     }
 
     struct Sampled
     {
         size_t index = 0;
-        sample::SampledSubgraph sg;
+        std::unique_ptr<sample::SampledSubgraph> sg;
     };
     util::BoundedQueue<size_t> work_queue(opts_.queue_depth);
     util::BoundedQueue<Sampled> done_queue(opts_.queue_depth);
@@ -1088,18 +1092,18 @@ Server::serve(const std::vector<InferenceRequest> &trace)
                 const std::optional<size_t> index = work_queue.pop();
                 if (!index)
                     break; // closed and drained
-                const InferenceRequest &req = trace[*index];
+                const InferenceRequest &req = requests[*index];
                 if (opts_.sample_hook)
                     opts_.sample_hook(req.id);
                 const Clock::time_point t0 = Clock::now();
                 Sampled sampled;
                 sampled.index = *index;
-                sampled.sg =
+                sampled.sg = std::make_unique<sample::SampledSubgraph>(
                     samplers[static_cast<size_t>(req.model)]->sample(
                         req.targets,
                         util::derive_seed(
                             opts_.seed, kSampleStream,
-                            static_cast<uint64_t>(req.id)));
+                            static_cast<uint64_t>(req.id))));
                 local.add(seconds_since(t0));
                 if (!done_queue.push(std::move(sampled)))
                     break; // closed (stop) or failed
@@ -1113,58 +1117,24 @@ Server::serve(const std::vector<InferenceRequest> &trace)
 
     auto sequencer = [&] {
         try {
-            // Reassembly ring: workers finish out of order, the event
-            // machine replays strictly in arrival order (the same
-            // discipline as AsyncPipeline's per-GPU window sequencer).
-            size_t cap = opts_.queue_depth * 2 +
-                         static_cast<size_t>(worker_threads_) + 1;
-            std::vector<Sampled> ring(cap);
-            std::vector<char> parked(cap, 0);
-            size_t next = 0;
-            while (next < total) {
-                std::optional<Sampled> item = done_queue.pop();
-                if (!item)
-                    break; // closed (stop) and drained
-                const size_t index = item->index;
-                FASTGL_CHECK(index >= next,
-                             "request sequence number regressed");
-                if (index - next >= cap) {
-                    // Grow the ring (rare: one worker lagging far
-                    // behind); re-home parked items.
-                    size_t bigger = cap;
-                    while (index - next >= bigger)
-                        bigger *= 2;
-                    std::vector<Sampled> grown(bigger);
-                    std::vector<char> grown_parked(bigger, 0);
-                    for (size_t i = 0; i < cap; ++i) {
-                        if (!parked[i])
-                            continue;
-                        const size_t slot = ring[i].index % bigger;
-                        grown[slot] = std::move(ring[i]);
-                        grown_parked[slot] = 1;
-                    }
-                    ring.swap(grown);
-                    parked.swap(grown_parked);
-                    cap = bigger;
+            // Park table, one slot per request: workers finish out of
+            // order, and the arrival policy asks for ids in its own
+            // order (trace order, or the order clients issue them), so
+            // every delivered subgraph waits here until it is taken.
+            // Slots are pointers (8 bytes per request): few are full at
+            // once, so a long trace must not pay a subgraph per slot.
+            std::vector<std::unique_ptr<sample::SampledSubgraph>> parked(
+                total);
+            const Take take = [&](size_t id) {
+                while (!parked[id]) {
+                    std::optional<Sampled> item = done_queue.pop();
+                    if (!item)
+                        break; // closed (stop) and drained
+                    parked[item->index] = std::move(item->sg);
                 }
-                const size_t slot = index % cap;
-                ring[slot] = std::move(*item);
-                parked[slot] = 1;
-                while (next < total && parked[next % cap]) {
-                    const size_t head = next % cap;
-                    Sampled sampled = std::move(ring[head]);
-                    ring[head] = Sampled{};
-                    parked[head] = 0;
-                    ++next;
-                    machine.on_request(trace[sampled.index],
-                                       std::move(sampled.sg));
-                }
-            }
-            machine.vs.processed = next;
-            if (next == total) {
-                // Trace exhausted: drain the final partial batches.
-                machine.drain();
-            }
+                return std::move(parked[id]);
+            };
+            machine.vs.processed = policy(machine, take);
         } catch (...) {
             fail(std::current_exception());
         }
@@ -1176,7 +1146,8 @@ Server::serve(const std::vector<InferenceRequest> &trace)
         workers.emplace_back(worker);
     std::thread sequencer_thread(sequencer);
 
-    // The run() caller is the feeder stage.
+    // The caller is the feeder stage. Workers sample every request
+    // speculatively in id order, ahead of the arrival policy.
     for (size_t i = 0; i < total; ++i) {
         if (!work_queue.push(i))
             break; // closed (stop) or failed
@@ -1203,14 +1174,27 @@ Server::serve(const std::vector<InferenceRequest> &trace)
 }
 
 std::vector<InferenceResponse>
+Server::serve(const std::vector<InferenceRequest> &trace)
+{
+    // Open loop: arrivals in trace order, then the final partial
+    // batches drain.
+    return drive(trace, [&trace](Engine &machine, const Take &take) {
+        size_t next = 0;
+        for (; next < trace.size(); ++next) {
+            std::unique_ptr<sample::SampledSubgraph> sg = take(next);
+            if (!sg)
+                return next; // stop requested
+            machine.on_request(trace[next], std::move(*sg));
+        }
+        machine.drain();
+        return next;
+    });
+}
+
+std::vector<InferenceResponse>
 Server::serve_closed(const ClosedLoopScript &script)
 {
-    stats_ = ServingStats{};
-    if (engine_)
-        engine_->reset_stats();
-    const Clock::time_point wall_start = Clock::now();
     const size_t total = script.requests.size();
-    const size_t num_tiers = tiers_.size();
     const int num_clients = script.num_clients;
     FASTGL_CHECK(num_clients > 0,
                  "closed-loop script needs >= 1 client");
@@ -1220,210 +1204,68 @@ Server::serve_closed(const ClosedLoopScript &script)
                  "closed-loop script requests must divide evenly "
                  "across clients");
 
-    std::vector<InferenceResponse> responses(total);
-    for (size_t i = 0; i < total; ++i) {
-        FASTGL_CHECK(script.requests[i].id == static_cast<int64_t>(i),
-                     "closed-loop script needs dense ids 0..n-1");
-        FASTGL_CHECK(script.requests[i].model >= 0 &&
-                         static_cast<size_t>(
-                             script.requests[i].model) < num_tiers,
-                     "request routed to a model tier the server "
-                     "does not host");
-        responses[i].request_id = script.requests[i].id;
-    }
-
-    struct Sampled
-    {
-        size_t index = 0;
-        sample::SampledSubgraph sg;
-    };
-    util::BoundedQueue<size_t> work_queue(opts_.queue_depth);
-    util::BoundedQueue<Sampled> done_queue(opts_.queue_depth);
-    shutdown_.begin_run([&work_queue, &done_queue] {
-        work_queue.close();
-        done_queue.close();
-    });
-
-    std::mutex error_mu;
-    std::exception_ptr first_error;
-    auto fail = [&](std::exception_ptr error) {
-        {
-            std::lock_guard<std::mutex> lock(error_mu);
-            if (!first_error)
-                first_error = error;
-        }
-        work_queue.fail(error);
-        done_queue.fail(error);
-    };
-
-    Engine machine(*this, responses);
-    machine.closed_clients = num_clients;
-
     // Closed-loop client state: request k of client c carries the
     // script id k * num_clients + c; the next arrival of a client is
-    // decided by the event machine (decision time + think).
-    const int64_t per_client =
-        static_cast<int64_t>(total) / num_clients;
+    // decided by the event machine (decision time + think). It lives
+    // here so the Engine's decided hook never outlives it.
+    const int64_t per_client = static_cast<int64_t>(total) / num_clients;
     std::vector<int64_t> next_k(static_cast<size_t>(num_clients), 0);
     using Event = std::pair<double, int>; ///< (arrival, client).
-    std::priority_queue<Event, std::vector<Event>,
-                        std::greater<Event>>
+    std::priority_queue<Event, std::vector<Event>, std::greater<Event>>
         arrivals;
-    machine.decided = [&](int64_t id, double at) {
-        const int c = static_cast<int>(id % num_clients);
-        const int64_t k = id / num_clients;
-        if (k + 1 < per_client) {
-            const int64_t next_id = (k + 1) * num_clients + c;
-            arrivals.push({at + script.think[static_cast<size_t>(
-                                    next_id)],
-                           c});
-        }
-    };
 
-    std::mutex merge_mu; ///< Guards stats_.worker_sample_seconds.
-
-    auto worker = [&] {
-        util::SampleStat local;
-        try {
-            std::vector<std::unique_ptr<sample::NeighborSampler>>
-                samplers;
-            samplers.reserve(num_tiers);
-            for (const Tier &tier : tiers_) {
-                sample::NeighborSamplerOptions nopts;
-                nopts.fanouts = tier.config.fanouts;
-                nopts.seed = opts_.seed + 101;
-                samplers.push_back(
-                    std::make_unique<sample::NeighborSampler>(
-                        dataset_.graph, nopts));
-            }
-            for (;;) {
-                const std::optional<size_t> index = work_queue.pop();
-                if (!index)
-                    break; // closed and drained
-                const InferenceRequest &req =
-                    script.requests[*index];
-                if (opts_.sample_hook)
-                    opts_.sample_hook(req.id);
-                const Clock::time_point t0 = Clock::now();
-                Sampled sampled;
-                sampled.index = *index;
-                sampled.sg =
-                    samplers[static_cast<size_t>(req.model)]->sample(
-                        req.targets,
-                        util::derive_seed(
-                            opts_.seed, kSampleStream,
-                            static_cast<uint64_t>(req.id)));
-                local.add(seconds_since(t0));
-                if (!done_queue.push(std::move(sampled)))
-                    break; // closed (stop) or failed
-            }
-        } catch (...) {
-            fail(std::current_exception());
-        }
-        std::lock_guard<std::mutex> lock(merge_mu);
-        stats_.worker_sample_seconds.merge(local);
-    };
-
-    auto sequencer = [&] {
-        try {
-            constexpr double kInf =
-                std::numeric_limits<double>::infinity();
-            // Parked pre-sampled subgraphs, by script id. Unlike the
-            // open loop, the event loop needs ids in *its* order (the
-            // clients' order), so everything the workers deliver is
-            // parked until the loop asks for it.
-            std::vector<sample::SampledSubgraph> parked_sg(total);
-            std::vector<char> have(total, 0);
-            auto obtain = [&](size_t id) -> bool {
-                while (!have[id]) {
-                    std::optional<Sampled> item = done_queue.pop();
-                    if (!item)
-                        return false; // closed (stop) and drained
-                    parked_sg[item->index] = std::move(item->sg);
-                    have[item->index] = 1;
-                }
-                return true;
-            };
-            // Every client thinks once before its first request.
-            for (int c = 0; c < num_clients; ++c)
+    return drive(script.requests, [&](Engine &machine, const Take &take) {
+        constexpr double kInf = std::numeric_limits<double>::infinity();
+        machine.closed_clients = num_clients;
+        machine.decided = [&](int64_t id, double at) {
+            const int c = static_cast<int>(id % num_clients);
+            const int64_t k = id / num_clients;
+            if (k + 1 < per_client) {
+                const int64_t next_id = (k + 1) * num_clients + c;
                 arrivals.push(
-                    {script.think[static_cast<size_t>(c)], c});
-            size_t processed = 0;
-            for (;;) {
-                // Next event: the earliest batch close or the
-                // earliest client arrival, whichever is first (closes
-                // win ties — they were scheduled earlier).
-                double t_close = kInf;
-                for (size_t m = 0; m < num_tiers; ++m) {
-                    if (!machine.batchers[m].empty())
-                        t_close = std::min(
-                            t_close,
-                            machine.batchers[m].close_time());
-                }
-                const double t_arrival =
-                    arrivals.empty() ? kInf : arrivals.top().first;
-                if (t_close == kInf && t_arrival == kInf)
-                    break; // no batches open, no client waiting
-                if (t_close <= t_arrival) {
-                    machine.flush_closed(t_close);
-                    continue;
-                }
-                const Event ev = arrivals.top();
-                arrivals.pop();
-                const int c = ev.second;
-                const int64_t k =
-                    next_k[static_cast<size_t>(c)]++;
-                const size_t id = static_cast<size_t>(
-                    k * num_clients + c);
-                if (!obtain(id))
-                    break; // stop requested
-                // The script carries the *relative* SLO budget; the
-                // event loop stamps the absolute times it decided.
-                InferenceRequest req = script.requests[id];
-                req.arrival = ev.first;
-                req.deadline += ev.first;
-                ++processed;
-                machine.on_request(req, std::move(parked_sg[id]));
-                parked_sg[id] = sample::SampledSubgraph{};
+                    {at + script.think[static_cast<size_t>(next_id)], c});
             }
-            machine.vs.processed = processed;
-        } catch (...) {
-            fail(std::current_exception());
+        };
+        // Every client thinks once before its first request (an empty
+        // script has none).
+        for (int c = 0; per_client > 0 && c < num_clients; ++c)
+            arrivals.push({script.think[static_cast<size_t>(c)], c});
+        size_t processed = 0;
+        for (;;) {
+            // Next event: the earliest batch close or the earliest
+            // client arrival, whichever is first (closes win ties —
+            // they were scheduled earlier).
+            double t_close = kInf;
+            for (const DynamicBatcher &batcher : machine.batchers) {
+                if (!batcher.empty())
+                    t_close = std::min(t_close, batcher.close_time());
+            }
+            const double t_arrival =
+                arrivals.empty() ? kInf : arrivals.top().first;
+            if (t_close == kInf && t_arrival == kInf)
+                break; // no batches open, no client waiting
+            if (t_close <= t_arrival) {
+                machine.flush_closed(t_close);
+                continue;
+            }
+            const Event ev = arrivals.top();
+            arrivals.pop();
+            const int c = ev.second;
+            const int64_t k = next_k[static_cast<size_t>(c)]++;
+            const size_t id = static_cast<size_t>(k * num_clients + c);
+            std::unique_ptr<sample::SampledSubgraph> sg = take(id);
+            if (!sg)
+                break; // stop requested
+            // The script carries the *relative* SLO budget; the event
+            // loop stamps the absolute times it decided.
+            InferenceRequest req = script.requests[id];
+            req.arrival = ev.first;
+            req.deadline += ev.first;
+            ++processed;
+            machine.on_request(req, std::move(*sg));
         }
-    };
-
-    std::vector<std::thread> workers;
-    workers.reserve(static_cast<size_t>(worker_threads_));
-    for (int i = 0; i < worker_threads_; ++i)
-        workers.emplace_back(worker);
-    std::thread sequencer_thread(sequencer);
-
-    // Speculative pre-sampling in script-id order; the event loop
-    // parks out-of-order deliveries until the client owning them
-    // issues its request.
-    for (size_t i = 0; i < total; ++i) {
-        if (!work_queue.push(i))
-            break; // closed (stop) or failed
-    }
-    work_queue.close();
-    for (std::thread &t : workers)
-        t.join();
-    done_queue.close();
-    sequencer_thread.join();
-
-    stats_.wall_seconds = seconds_since(wall_start);
-    stats_.stopped_early = shutdown_.stop_requested();
-    shutdown_.end_run();
-    {
-        std::lock_guard<std::mutex> lock(error_mu);
-        if (first_error)
-            std::rethrow_exception(first_error);
-    }
-
-    machine.finalize();
-    stats_.work_queue = work_queue.stats();
-    stats_.done_queue = done_queue.stats();
-    return responses;
+        return processed;
+    });
 }
 
 } // namespace serve

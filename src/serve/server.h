@@ -21,16 +21,23 @@
  * Stage graph (arrows are BoundedQueues):
  *
  *   feeder ──ids──> sampler workers ──ego-nets──> sequencer
- *   (run() thread)   (per-thread sampler,          (in-order virtual-
- *                     per-request RNG stream)       time event machine)
+ *   (caller thread)  (per-thread sampler,          (arrival policy over
+ *                     per-request RNG stream)       the virtual-time
+ *                                                   event machine)
  *
- * The sequencer replays requests in arrival order and runs the entire
- * virtual-time state machine — batchers, caches, admission — alone, the
- * same single-writer discipline that keeps the training pipeline's
- * Match/Reorder chain deterministic. Workers sample every request's
- * ego-net speculatively, before admission is decided: the per-request
- * RNG streams make that safe (a shed request's subgraph is simply
- * discarded) and it keeps the expensive host work off the sequencer.
+ * serve() and serve_closed() run this one stage graph through one
+ * private driver and differ only in the arrival policy the sequencer
+ * runs: trace order then a final drain (open loop), or the client
+ * event loop with think timers and batch-close events (closed loop).
+ * Workers sample every request's ego-net speculatively in id order,
+ * before admission is decided: the per-request RNG streams make that
+ * safe (a shed request's subgraph is simply discarded) and it keeps
+ * the expensive host work off the sequencer. Subgraphs arrive out of
+ * order and wait by request id in a park table sized to the run until
+ * the policy takes them. The sequencer runs the entire virtual-time
+ * state machine — batchers, caches, admission — alone, the same
+ * single-writer discipline that keeps the training pipeline's
+ * Match/Reorder chain deterministic.
  *
  * One Server can host several model tiers (ServerOptions::models, e.g.
  * a cheap GCN tier next to an expensive GAT tier) behind one front
@@ -470,6 +477,23 @@ class Server
      *  (batchers, caches, admission, dispatch, profiler); defined in
      *  server.cpp, driven only by the sequencer thread. */
     struct Engine;
+
+    /** Takes request @p id's pre-sampled subgraph out of the run's park
+     *  table, waiting for its worker; null once a stop drained the
+     *  run. */
+    using Take = std::function<std::unique_ptr<sample::SampledSubgraph>(
+        size_t id)>;
+    /** Arrival policy of one run: hands requests to the Engine in its
+     *  own order, each through Take, and returns how many it handed
+     *  over. Runs on the sequencer thread. */
+    using ArrivalPolicy = std::function<size_t(Engine &, const Take &)>;
+
+    /** The one stage graph behind serve() and serve_closed(): feeds
+     *  @p requests by id to the sampler workers and runs @p policy on
+     *  the sequencer thread; returns one response per request. */
+    std::vector<InferenceResponse>
+    drive(const std::vector<InferenceRequest> &requests,
+          const ArrivalPolicy &policy);
 
     /** One hosted tier's resolved runtime state. */
     struct Tier

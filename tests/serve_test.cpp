@@ -9,8 +9,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
+#include <functional>
 #include <set>
+#include <thread>
 #include <vector>
 
 #include "graph/datasets.h"
@@ -56,6 +59,33 @@ make_trace(const serve::Server &server, double rate_rps,
     lopts.seed = 13;
     serve::LoadGenerator gen(server.popularity(), lopts);
     return gen.generate();
+}
+
+serve::ClosedLoopScript
+make_closed_script(const serve::Server &server, int clients,
+                   int64_t per_client)
+{
+    serve::LoadGeneratorOptions lopts;
+    lopts.num_requests = clients * per_client;
+    lopts.slo_deadline = 50e-3;
+    lopts.seed = 13;
+    serve::LoadGenerator gen(server.popularity(), lopts);
+    serve::ClosedLoopOptions copts;
+    copts.num_clients = clients;
+    copts.requests_per_client = per_client;
+    copts.think_time = 1e-3;
+    return gen.generate_closed(copts);
+}
+
+/** @p n requests through either arrival policy: an open-loop trace at
+ *  @p rate_rps, or a pool of 8 closed-loop clients. */
+std::vector<serve::InferenceResponse>
+serve_either(serve::Server &server, bool closed, double rate_rps,
+             int64_t n)
+{
+    if (closed)
+        return server.serve_closed(make_closed_script(server, 8, n / 8));
+    return server.serve(make_trace(server, rate_rps, n));
 }
 
 // ---------------------------------------------------------------------
@@ -467,45 +497,106 @@ TEST(Serve, FeatureCacheReducesPcieTraffic)
 
 TEST(Serve, RequestStopMidFlightReturnsPrefixWithoutDeadlock)
 {
-    auto opts = base_server_options();
-    opts.worker_threads = 4;
-    serve::Server *handle = nullptr;
-    std::atomic<int> sampled{0};
-    opts.sample_hook = [&](int64_t) {
-        if (sampled.fetch_add(1) == 32)
-            handle->request_stop();
-    };
-    serve::Server server(products(), opts);
-    handle = &server;
-    const auto trace = make_trace(server, 5000.0, 512);
+    for (const bool closed : {false, true}) {
+        SCOPED_TRACE(closed ? "closed loop" : "open loop");
+        auto opts = base_server_options();
+        opts.worker_threads = 4;
+        serve::Server *handle = nullptr;
+        std::atomic<int> sampled{0};
+        opts.sample_hook = [&](int64_t) {
+            if (sampled.fetch_add(1) == 32)
+                handle->request_stop();
+        };
+        serve::Server server(products(), opts);
+        handle = &server;
 
-    const auto responses = server.serve(trace); // must return, not hang
-    const serve::ServingStats st = server.last_stats();
-    EXPECT_TRUE(st.stopped_early);
-    EXPECT_TRUE(server.stop_requested());
-    EXPECT_LT(st.offered, 512);
-    ASSERT_EQ(responses.size(), 512u);
-    // The unprocessed suffix is marked as such.
-    EXPECT_EQ(responses.back().outcome, serve::Outcome::kUnprocessed);
+        // must return, not hang
+        const auto responses = serve_either(server, closed, 5000.0, 512);
+        const serve::ServingStats st = server.last_stats();
+        EXPECT_TRUE(st.stopped_early);
+        EXPECT_TRUE(server.stop_requested());
+        EXPECT_LT(st.offered, 512);
+        ASSERT_EQ(responses.size(), 512u);
+        // The unprocessed suffix is marked as such.
+        EXPECT_EQ(responses.back().outcome, serve::Outcome::kUnprocessed);
 
-    // A fresh serve() after the stop runs to completion.
-    sampled.store(1 << 20);
-    server.serve(trace);
-    EXPECT_FALSE(server.last_stats().stopped_early);
-    EXPECT_EQ(server.last_stats().offered, 512);
+        // A fresh run after the stop runs to completion.
+        sampled.store(1 << 20);
+        serve_either(server, closed, 5000.0, 512);
+        EXPECT_FALSE(server.last_stats().stopped_early);
+        EXPECT_EQ(server.last_stats().offered, 512);
+    }
 }
 
 TEST(Serve, WorkerExceptionPropagatesToCaller)
 {
-    auto opts = base_server_options();
-    opts.worker_threads = 3;
-    opts.sample_hook = [](int64_t id) {
-        if (id == 40)
-            throw std::runtime_error("sampler worker died");
-    };
-    serve::Server server(products(), opts);
-    const auto trace = make_trace(server, 5000.0, 128);
-    EXPECT_THROW(server.serve(trace), std::runtime_error);
+    for (const bool closed : {false, true}) {
+        SCOPED_TRACE(closed ? "closed loop" : "open loop");
+        auto opts = base_server_options();
+        opts.worker_threads = 3;
+        opts.sample_hook = [](int64_t id) {
+            if (id == 40)
+                throw std::runtime_error("sampler worker died");
+        };
+        serve::Server server(products(), opts);
+        EXPECT_THROW(serve_either(server, closed, 5000.0, 128),
+                     std::runtime_error);
+    }
+}
+
+TEST(Serve, LaggingWorkerParksOutOfOrderOnBothLoops)
+{
+    // Request 0's worker stalls until every other request is sampled,
+    // so the sequencer parks the whole run by id (far more than
+    // queue_depth) before it can hand request 0 to the engine. The
+    // result must match an unstalled run bit for bit.
+    constexpr int64_t kRequests = 256;
+    for (const bool closed : {false, true}) {
+        SCOPED_TRACE(closed ? "closed loop" : "open loop");
+        auto opts = base_server_options();
+        opts.worker_threads = 4;
+        serve::Server plain(products(), opts);
+        const auto reference = serve_either(plain, closed, 5000.0,
+                                            kRequests);
+
+        std::atomic<int64_t> others{0};
+        opts.sample_hook = [&](int64_t id) {
+            if (id != 0) {
+                others.fetch_add(1);
+                return;
+            }
+            const auto deadline =
+                std::chrono::steady_clock::now() + std::chrono::seconds(10);
+            while (others.load() < kRequests - 1 &&
+                   std::chrono::steady_clock::now() < deadline)
+                std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        };
+        serve::Server lagging(products(), opts);
+        const auto responses = serve_either(lagging, closed, 5000.0,
+                                            kRequests);
+        EXPECT_EQ(others.load(), kRequests - 1);
+        expect_identical_serving(plain.last_stats(), lagging.last_stats());
+        ASSERT_EQ(responses.size(), reference.size());
+        for (size_t i = 0; i < responses.size(); ++i) {
+            EXPECT_EQ(responses[i].outcome, reference[i].outcome);
+            EXPECT_EQ(responses[i].completion, reference[i].completion);
+        }
+    }
+}
+
+TEST(Serve, EmptyTraceAndEmptyScriptServeNothing)
+{
+    serve::Server server(products(), base_server_options());
+    EXPECT_TRUE(server.serve({}).empty());
+    EXPECT_EQ(server.last_stats().offered, 0);
+    EXPECT_EQ(server.last_stats().batches, 0);
+
+    serve::ClosedLoopScript script;
+    script.num_clients = 2;
+    EXPECT_TRUE(server.serve_closed(script).empty());
+    EXPECT_EQ(server.last_stats().offered, 0);
+    EXPECT_EQ(server.last_stats().batches, 0);
+    EXPECT_EQ(server.last_stats().closed_loop_clients, 2);
 }
 
 // ---------------------------------------------------------------------
@@ -863,6 +954,94 @@ TEST(Serve, StatsAccountHostExecution)
     EXPECT_EQ(st.offered, 128);
     EXPECT_GT(st.throughput_rps, 0.0);
     EXPECT_GE(st.throughput_rps, st.goodput_rps);
+}
+
+// ---------------------------------------------------------------------
+// Server: golden fingerprints
+// ---------------------------------------------------------------------
+
+/** One pinned serving run: the options it changes from
+ *  base_server_options() and the traffic that drives it. */
+struct GoldenRun
+{
+    const char *name;
+    uint64_t fingerprint;
+    std::function<void(serve::ServerOptions &)> configure;
+    std::function<void(serve::Server &)> drive;
+};
+
+TEST(Serve, GoldenFingerprints)
+{
+    // Absolute digests. Every other serve determinism test compares
+    // runs with each other (widths, profiling on/off), so a change that
+    // moves every run the same way passes them all; it fails here.
+    // Change a value only when the virtual world is meant to move.
+    const auto keep = [](serve::ServerOptions &) {};
+    const auto open_loop = [](serve::Server &server) {
+        server.serve(make_trace(server, 3000.0, 384));
+    };
+    const std::vector<GoldenRun> runs = {
+        {"open loop", 0x3D9E169AABFB5D9CULL, keep, open_loop},
+        {"two tiers, mixed priority", 0x6A9AF59EFEB58A89ULL,
+         [](serve::ServerOptions &opts) { opts = two_tier_options(); },
+         [](serve::Server &server) {
+             server.serve(make_mixed_trace(server, 4000.0, 384, 50e-3,
+                                           {0.7, 0.3}));
+         }},
+        {"compute_logits", 0xC6E90690B7BDD75EULL,
+         [](serve::ServerOptions &opts) { opts.compute_logits = true; },
+         open_loop},
+        {"num_gpus = 2", 0x182CB2C9ADACFF99ULL,
+         [](serve::ServerOptions &opts) { opts.num_gpus = 2; },
+         open_loop},
+        {"storage = nvme", 0x77A9BA2833B5661DULL,
+         [](serve::ServerOptions &opts) {
+             opts.storage.storage = store::StorageKind::kNvme;
+             opts.storage.host_mem_fraction = 0.25;
+             // No prefetch: at this rate it hides every storage read,
+             // and the run would pin nothing the open loop does not.
+             opts.storage.prefetch_depth = 0;
+         },
+         [&](serve::Server &server) {
+             open_loop(server);
+             EXPECT_GT(server.last_stats().storage_stall_seconds, 0.0);
+         }},
+        {"closed loop, 8 clients", 0xB9F46D67B63D3C70ULL, keep,
+         [](serve::Server &server) {
+             server.serve_closed(make_closed_script(server, 8, 24));
+         }},
+        {"autoscaled flash crowd", 0x896F2387F98B2FF4ULL,
+         [](serve::ServerOptions &opts) {
+             opts.admission.max_pending = 512;
+             opts.embedding.capacity_rows = 0;
+             opts.autoscale.enabled = true;
+             opts.autoscale.min_workers = 1;
+             opts.autoscale.max_workers = 8;
+             opts.autoscale.wait_high = 0.2e-3;
+         },
+         [](serve::Server &server) {
+             serve::LoadGeneratorOptions lopts;
+             lopts.rate_rps = 30000.0;
+             lopts.trace = serve::ArrivalTrace::kFlashCrowd;
+             lopts.flash_start = 5e-3;
+             lopts.flash_duration = 20e-3;
+             lopts.flash_multiplier = 10.0;
+             lopts.num_requests = 1024;
+             lopts.seed = 13;
+             serve::LoadGenerator gen(server.popularity(), lopts);
+             server.serve(gen.generate());
+             EXPECT_FALSE(server.last_stats().autoscale.events.empty());
+         }},
+    };
+    for (const GoldenRun &run : runs) {
+        serve::ServerOptions opts = base_server_options();
+        run.configure(opts);
+        serve::Server server(products(), opts);
+        run.drive(server);
+        EXPECT_EQ(server.last_stats().fingerprint, run.fingerprint)
+            << run.name << ": got 0x" << std::hex
+            << server.last_stats().fingerprint;
+    }
 }
 
 } // namespace

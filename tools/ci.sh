@@ -8,10 +8,15 @@
 #   tools/ci.sh                 # warnings-as-errors build + full ctest
 #   FASTGL_TSAN=1 tools/ci.sh   # additionally run the concurrency
 #                               # suite under ThreadSanitizer
+#   FASTGL_ASAN=1 tools/ci.sh   # additionally run the full suite under
+#                               # AddressSanitizer + UBSan
 #
 # Environment:
 #   FASTGL_CI_JOBS   parallel build/test jobs (default: nproc)
 #   FASTGL_TSAN      when 1, add a -fsanitize=thread configuration
+#   FASTGL_ASAN      when 1, add a -fsanitize=address,undefined
+#                    configuration (build-asan/); any UBSan report is
+#                    fatal (-fno-sanitize-recover=all)
 #   FASTGL_NO_PERF   when 1, skip the hot-path perf smoke step
 set -euo pipefail
 
@@ -49,6 +54,14 @@ if [[ "${FASTGL_TSAN:-0}" == "1" ]]; then
         -DCMAKE_BUILD_TYPE=RelWithDebInfo
     ctest --test-dir build-tsan --output-on-failure -j "$JOBS" \
         -R 'BoundedQueue|ThreadPool|AsyncPipeline|Determinism|Serve|StageShutdown|ComputeKernels|Gather|FrequencyHashmap|FeaturePanel|MultiGpu|Partition|PeerTopology|OocStore|StorageLink|Prefetch|Profiler|Autoscale|ClosedLoop'
+fi
+
+if [[ "${FASTGL_ASAN:-0}" == "1" ]]; then
+    echo "==> AddressSanitizer + UBSan configuration (full suite)"
+    run_config build-asan -DFASTGL_SANITIZE=address,undefined \
+        -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+        -DCMAKE_CXX_FLAGS=-fno-sanitize-recover=all
+    ctest --test-dir build-asan --output-on-failure -j "$JOBS"
 fi
 
 # Gate one archived bench JSON. Every bench archive must parse as JSON
