@@ -100,7 +100,7 @@ AsyncPipeline::run_epoch()
     struct WindowItem
     {
         WindowRef ref;
-        std::vector<sample::SampledSubgraph> subgraphs;
+        Pipeline::Window batches;
     };
     struct ComputeItem
     {
@@ -173,10 +173,16 @@ AsyncPipeline::run_epoch()
     std::atomic<uint64_t> gather_bytes{0};
     std::mutex busy_mu;
 
-    auto producer = [&] {
+    auto producer = [&](size_t id) {
         double busy = 0.0;
         try {
-            Pipeline::ThreadSampler sampler(pipeline_);
+            // Producers up to the pipeline's pool width borrow its idle,
+            // already sized samplers; any beyond build their own.
+            std::optional<Pipeline::ThreadSampler> own;
+            Pipeline::ThreadSampler &sampler =
+                id < pipeline_.thread_samplers_.size()
+                    ? pipeline_.thread_samplers_[id]
+                    : own.emplace(pipeline_);
             for (;;) {
                 if (shutdown_.stop_requested())
                     break;
@@ -189,13 +195,14 @@ AsyncPipeline::run_epoch()
                     plan.per_gpu[static_cast<size_t>(ref.gpu)];
                 WindowItem item;
                 item.ref = ref;
-                item.subgraphs.reserve(ref.end - ref.begin);
+                item.batches.subgraphs.resize(ref.end - ref.begin);
+                item.batches.sets.resize(ref.end - ref.begin);
                 const Clock::time_point t0 = Clock::now();
                 for (size_t i = ref.begin; i < ref.end; ++i) {
                     if (async_.sample_hook)
                         async_.sample_hook(batches[i]);
-                    item.subgraphs.push_back(
-                        sampler.sample(pipeline_, epoch, batches[i]));
+                    sampler.prepare(pipeline_, epoch, batches[i],
+                                    item.batches, i - ref.begin);
                 }
                 busy += seconds_since(t0);
                 if (!batch_queue.push(std::move(item)))
@@ -237,11 +244,11 @@ AsyncPipeline::run_epoch()
                     const Clock::time_point t0 = Clock::now();
                     const std::vector<size_t> order =
                         pipeline_.window_order(state.matcher,
-                                               window.subgraphs);
+                                               window.batches.sets);
                     bool queue_open = true;
                     for (size_t k = 0; k < order.size(); ++k) {
                         sample::SampledSubgraph &sg =
-                            window.subgraphs[order[k]];
+                            window.batches.subgraphs[order[k]];
                         ComputeItem ci;
                         ci.gpu = window.ref.gpu;
                         ci.position = window.ref.begin + k;
@@ -249,7 +256,8 @@ AsyncPipeline::run_epoch()
                             plan.per_gpu[static_cast<size_t>(
                                 window.ref.gpu)][ci.position];
                         ci.record = pipeline_.plan_transfer(
-                            sg, state.matcher);
+                            sg, std::move(window.batches.sets[order[k]]),
+                            state.matcher);
                         if (async_.gather_features)
                             ci.panel = engine.gather(
                                 pipeline_.dataset_.features, sg.nodes);
@@ -314,7 +322,7 @@ AsyncPipeline::run_epoch()
     std::vector<std::thread> workers;
     workers.reserve(static_cast<size_t>(sampler_threads_));
     for (int i = 0; i < sampler_threads_; ++i)
-        workers.emplace_back(producer);
+        workers.emplace_back(producer, static_cast<size_t>(i));
     std::vector<std::thread> gatherers;
     for (int i = 0; i < gather_threads_; ++i)
         gatherers.emplace_back(gather);

@@ -1,6 +1,8 @@
 #include "core/pipeline.h"
 
 #include <algorithm>
+#include <thread>
+#include <utility>
 
 #include "match/reorder.h"
 #include "sample/frequency_hashmap.h"
@@ -47,6 +49,18 @@ model_param_bytes(const compute::ModelConfig &config)
     return params * sizeof(float);
 }
 
+namespace {
+
+/** Host worker count: hardware threads, at most 8. */
+size_t
+pool_width()
+{
+    const unsigned hw = std::thread::hardware_concurrency();
+    return std::min<size_t>(hw == 0 ? 2 : hw, 8);
+}
+
+} // namespace
+
 Pipeline::Pipeline(const graph::Dataset &dataset, PipelineOptions opts,
                    sim::GpuSpec spec)
     : dataset_(dataset),
@@ -58,7 +72,8 @@ Pipeline::Pipeline(const graph::Dataset &dataset, PipelineOptions opts,
       splitter_(dataset.train_nodes,
                 opts_.batch_size > 0 ? opts_.batch_size
                                      : dataset.batch_size,
-                opts_.seed)
+                opts_.seed),
+      pool_(pool_width())
 {
     // Resolve model shape from the dataset when unset.
     if (opts_.model.in_dim == 0)
@@ -70,17 +85,15 @@ Pipeline::Pipeline(const graph::Dataset &dataset, PipelineOptions opts,
                               : static_cast<int>(opts_.fanouts.size());
     param_bytes_ = model_param_bytes(opts_.model);
 
-    if (opts_.use_random_walk) {
-        sample::RandomWalkOptions walk = opts_.walk;
-        walk.seed = opts_.seed + 101;
-        walk_sampler_ = std::make_unique<sample::RandomWalkSampler>(
-            dataset.graph, walk);
-    } else {
-        sample::NeighborSamplerOptions nopts;
-        nopts.fanouts = opts_.fanouts;
-        nopts.seed = opts_.seed + 101;
-        sampler_ = std::make_unique<sample::NeighborSampler>(
-            dataset.graph, nopts);
+    // Size every sampler's scratch here, on the constructing thread, by
+    // sampling one epoch-0 batch on it (epoch 0 is never trained on).
+    thread_samplers_.reserve(pool_.size());
+    for (size_t k = 0; k < pool_.size(); ++k) {
+        thread_samplers_.emplace_back(*this);
+        thread_samplers_.back().sample(
+            *this, 0,
+            static_cast<int64_t>(k) %
+                std::max<int64_t>(1, splitter_.num_batches()));
     }
 
     // GNNLab's factored design: one dedicated sampler GPU up to 4 GPUs,
@@ -117,7 +130,8 @@ Pipeline::build_cache()
             double(spec_.global_bytes) * dataset_.scale;
         // Baseline residents: parameters (+grads, +Adam moments), double-
         // buffered batch features and activations, topology, workspace.
-        sample::SampledSubgraph probe = sample_batch(0, 0);
+        sample::SampledSubgraph probe =
+            thread_samplers_.front().sample(*this, 0, 0);
         const double features =
             double(probe.num_nodes()) * double(row_bytes);
         double activations = 0.0;
@@ -158,8 +172,8 @@ Pipeline::build_cache()
         for (int64_t b = 0; b < presample; ++b) {
             // Presampling uses epoch 0; training epochs start at 1, so
             // the cache build never shares an RNG stream with them.
-            sample::SampledSubgraph sg = sample_batch(0, b);
-            freq.add_stream(sg.nodes);
+            freq.add_stream(
+                thread_samplers_.front().sample(*this, 0, b).nodes);
         }
         ranking =
             match::presample_ranking(freq.uniques(), freq.counts(), n);
@@ -172,15 +186,6 @@ Pipeline::batch_seed(int64_t epoch, int64_t index) const
 {
     return util::derive_seed(opts_.seed, static_cast<uint64_t>(epoch),
                              static_cast<uint64_t>(index));
-}
-
-sample::SampledSubgraph
-Pipeline::sample_batch(int64_t epoch, int64_t index)
-{
-    const std::span<const graph::NodeId> seeds = splitter_.batch(index);
-    const uint64_t seed = batch_seed(epoch, index);
-    return opts_.use_random_walk ? walk_sampler_->sample(seeds, seed)
-                                 : sampler_->sample(seeds, seed);
 }
 
 Pipeline::ThreadSampler::ThreadSampler(const Pipeline &pipe)
@@ -209,8 +214,27 @@ Pipeline::ThreadSampler::sample(const Pipeline &pipe, int64_t epoch,
     return khop ? khop->sample(seeds, seed) : walk->sample(seeds, seed);
 }
 
+void
+Pipeline::ThreadSampler::prepare(const Pipeline &pipe, int64_t epoch,
+                                 int64_t index, Window &window,
+                                 size_t slot)
+{
+    sample::SampledSubgraph &sg = window.subgraphs[slot];
+    sg = sample(pipe, epoch, index);
+    if (pipe.uses_match())
+        window.sets[slot] = match::NodeSet(sg.nodes);
+}
+
+bool
+Pipeline::uses_match() const
+{
+    return opts_.fw.io == IoStrategy::kMatch ||
+           opts_.fw.io == IoStrategy::kMatchReorder;
+}
+
 Pipeline::BatchRecord
 Pipeline::plan_transfer(const sample::SampledSubgraph &sg,
+                        match::NodeSet set,
                         match::Matcher &matcher) const
 {
     BatchRecord rec;
@@ -253,8 +277,7 @@ Pipeline::plan_transfer(const sample::SampledSubgraph &sg,
       }
       case IoStrategy::kMatch:
       case IoStrategy::kMatchReorder: {
-        match::NodeSet set(sg.nodes);
-        match::TransferPlan plan = matcher.plan(set);
+        match::TransferPlan plan = matcher.plan(std::move(set));
         rec.reused = plan.overlap_nodes;
         if (cache_ && opts_.fw.cache_on_top_of_match) {
             int64_t cached = 0;
@@ -282,8 +305,7 @@ Pipeline::plan_transfer(const sample::SampledSubgraph &sg,
     rec.io = spec_.pcie_latency +
              contention * (double(rec.bytes) / spec_.pcie_bw +
                            double(feature_bytes) / spec_.host_gather_bw);
-    if (opts_.fw.io == IoStrategy::kMatch ||
-        opts_.fw.io == IoStrategy::kMatchReorder) {
+    if (uses_match()) {
         // FastGL prefetches the next subgraph's topology during the
         // current batch's computation (paper Section 6.5); that part of
         // the transfer vanishes from the critical path.
@@ -302,9 +324,10 @@ Pipeline::compute_time(const sample::SampledSubgraph &sg) const
 
 Pipeline::BatchRecord
 Pipeline::process_batch(const sample::SampledSubgraph &sg,
+                        match::NodeSet set,
                         match::Matcher &matcher) const
 {
-    BatchRecord rec = plan_transfer(sg, matcher);
+    BatchRecord rec = plan_transfer(sg, std::move(set), matcher);
     rec.compute = compute_time(sg);
     return rec;
 }
@@ -330,47 +353,41 @@ Pipeline::plan_epoch()
     return plan;
 }
 
-util::ThreadPool *
-Pipeline::reorder_pool(size_t num_sets) const
+Pipeline::Window
+Pipeline::prepare_window(int64_t epoch, std::span<const int64_t> batches)
 {
-    // Below this window size the O(n²) intersection work is too small
-    // to amortise handing chunks to workers.
-    constexpr size_t kParallelWindowThreshold = 8;
-    if (num_sets < kParallelWindowThreshold)
-        return nullptr;
-    std::call_once(match_pool_once_, [this] {
-        const unsigned hw = std::thread::hardware_concurrency();
-        match_pool_ = std::make_unique<util::ThreadPool>(
-            std::min<size_t>(hw == 0 ? 2 : hw, 8));
+    Window window;
+    window.subgraphs.resize(batches.size());
+    window.sets.resize(batches.size());
+    const size_t tasks = std::min(thread_samplers_.size(), batches.size());
+    pool_.parallel_for(tasks, [&](size_t begin, size_t end) {
+        for (size_t t = begin; t < end; ++t) {
+            for (size_t i = t; i < batches.size(); i += tasks)
+                thread_samplers_[t].prepare(*this, epoch, batches[i],
+                                            window, i);
+        }
     });
-    return match_pool_.get();
+    return window;
 }
 
 std::vector<size_t>
-Pipeline::window_order(
-    const match::Matcher &matcher,
-    const std::vector<sample::SampledSubgraph> &subgraphs) const
+Pipeline::window_order(const match::Matcher &matcher,
+                       const std::vector<match::NodeSet> &sets) const
 {
-    std::vector<size_t> order(subgraphs.size());
+    std::vector<size_t> order(sets.size());
     for (size_t i = 0; i < order.size(); ++i)
         order[i] = i;
     const bool reorder = opts_.fw.io == IoStrategy::kMatchReorder &&
                          opts_.reorder_window > 1;
-    if (reorder && subgraphs.size() > 1) {
-        std::vector<match::NodeSet> sets;
-        sets.reserve(subgraphs.size());
-        for (const auto &sg : subgraphs)
-            sets.emplace_back(sg.nodes);
+    if (reorder && sets.size() > 1) {
         // Chain on raw overlap counts (= the rows Match saves),
         // anchored at the batch resident on the GPU from the
-        // previous window so the hand-over also reuses. The pairwise
-        // counts row-shard over the match pool for big windows; the
-        // result is bit-identical to the sequential computation.
+        // previous window so the hand-over also reuses.
         const match::NodeSet *anchor =
             matcher.resident().size() > 0 ? &matcher.resident()
                                           : nullptr;
-        match::ReorderResult rr = match::greedy_reorder_max_overlap(
-            anchor, sets, reorder_pool(sets.size()));
+        match::ReorderResult rr =
+            match::greedy_reorder_max_overlap(anchor, sets, &pool_);
         for (size_t i = 0; i < order.size(); ++i)
             order[i] = static_cast<size_t>(rr.order[i]);
     }
@@ -382,29 +399,24 @@ Pipeline::run_epoch()
 {
     const EpochPlan plan = plan_epoch();
     const int total = static_cast<int>(plan.per_gpu.size());
-    const int64_t window = plan.window;
+    const auto window = static_cast<size_t>(plan.window);
 
     std::vector<std::vector<BatchRecord>> records(
         static_cast<size_t>(total));
 
     for (int g = 0; g < total; ++g) {
         match::Matcher matcher;
-        const auto &batches = plan.per_gpu[static_cast<size_t>(g)];
-        for (size_t w = 0; w < batches.size();
-             w += static_cast<size_t>(window)) {
-            const size_t end = std::min(
-                batches.size(), w + static_cast<size_t>(window));
-
+        const std::span<const int64_t> batches =
+            plan.per_gpu[static_cast<size_t>(g)];
+        for (size_t w = 0; w < batches.size(); w += window) {
             // Sample the window up front (paper Fig. 5: the Map-Fused
             // Sampler produces n mini-batches before Reorder runs).
-            std::vector<sample::SampledSubgraph> subgraphs;
-            subgraphs.reserve(end - w);
-            for (size_t i = w; i < end; ++i)
-                subgraphs.push_back(sample_batch(epoch_, batches[i]));
-
-            for (size_t i : window_order(matcher, subgraphs)) {
-                records[static_cast<size_t>(g)].push_back(
-                    process_batch(subgraphs[i], matcher));
+            Window win = prepare_window(
+                epoch_,
+                batches.subspan(w, std::min(window, batches.size() - w)));
+            for (size_t i : window_order(matcher, win.sets)) {
+                records[static_cast<size_t>(g)].push_back(process_batch(
+                    win.subgraphs[i], std::move(win.sets[i]), matcher));
             }
         }
     }

@@ -12,8 +12,8 @@
 
 #include <algorithm>
 #include <memory>
-#include <mutex>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "compute/compute_cost.h"
@@ -148,6 +148,17 @@ class Pipeline
     };
 
     /**
+     * One Reorder window's batches in plan order: each subgraph and its
+     * node set, built together so Reorder and Match share one set.
+     */
+    struct Window
+    {
+        std::vector<sample::SampledSubgraph> subgraphs;
+        /** Node set of subgraphs[i]; left empty unless Match runs. */
+        std::vector<match::NodeSet> sets;
+    };
+
+    /**
      * Per-thread sampler clone for concurrent producers. Instances are
      * not shareable across threads, but any instance yields identical
      * output for the same (epoch, index) because sampling draws from a
@@ -157,9 +168,17 @@ class Pipeline
     {
         explicit ThreadSampler(const Pipeline &pipe);
 
-        /** Identical output to pipe.sample_batch(epoch, index). */
+        /** Batch @p index of epoch @p epoch, from its own RNG stream. */
         sample::SampledSubgraph sample(const Pipeline &pipe,
                                        int64_t epoch, int64_t index);
+
+        /**
+         * Sample batch @p index into window.subgraphs[slot] and, when
+         * Match runs, build its node set into window.sets[slot]. Calls
+         * on distinct samplers may fill distinct slots concurrently.
+         */
+        void prepare(const Pipeline &pipe, int64_t epoch, int64_t index,
+                     Window &window, size_t slot);
 
         std::unique_ptr<sample::NeighborSampler> khop;
         std::unique_ptr<sample::RandomWalkSampler> walk;
@@ -172,24 +191,29 @@ class Pipeline
     uint64_t batch_seed(int64_t epoch, int64_t index) const;
 
     /**
-     * Sample batch @p index of epoch @p epoch. Each batch draws from its
-     * own derived RNG stream (not shared-generator order), so the result
-     * is independent of sampling order and thread placement.
+     * Prepare the window of batches @p batches of epoch @p epoch on the
+     * pool: task t of T uses sampler t for batches t, t + T, ... A fixed
+     * share keeps each worker's malloc arena at the same size from
+     * window to window. Every batch draws from its own derived RNG
+     * stream, so the window is the same whichever task prepares it.
      */
-    sample::SampledSubgraph sample_batch(int64_t epoch, int64_t index);
+    Window prepare_window(int64_t epoch, std::span<const int64_t> batches);
 
-    /** Reorder decision for one window against the resident batch. */
+    /** Reorder decision for one window's sets against the resident
+     *  batch (identity unless Match-Reorder runs). */
     std::vector<size_t> window_order(
         const match::Matcher &matcher,
-        const std::vector<sample::SampledSubgraph> &subgraphs) const;
+        const std::vector<match::NodeSet> &sets) const;
 
     /**
      * Sample/id-map/io accounting for one batch — everything except the
-     * compute phase. Mutates only @p matcher (caller-owned, per GPU) and
-     * the cache's atomic statistics; safe to run concurrently across
-     * GPUs.
+     * compute phase. @p set is the batch's node set (moved into
+     * @p matcher; unused unless Match runs). Mutates only @p matcher
+     * (caller-owned, per GPU) and the cache's atomic statistics; safe to
+     * run concurrently across GPUs.
      */
     BatchRecord plan_transfer(const sample::SampledSubgraph &sg,
+                              match::NodeSet set,
                               match::Matcher &matcher) const;
 
     /** Modelled compute seconds of one batch (pure). */
@@ -197,6 +221,7 @@ class Pipeline
 
     /** plan_transfer + compute_time in one step (sequential path). */
     BatchRecord process_batch(const sample::SampledSubgraph &sg,
+                              match::NodeSet set,
                               match::Matcher &matcher) const;
 
     /** Aggregate per-GPU records into the epoch result (work + wall). */
@@ -206,17 +231,8 @@ class Pipeline
 
     void build_cache();
 
-    /**
-     * Shared worker pool for the O(n²) Reorder set algebra, created
-     * lazily the first time a window is big enough to benefit (small
-     * windows stay sequential — the fork/join overhead would dominate).
-     * Thread safe: gather threads of the overlapped executor call
-     * window_order concurrently, and both the lazy construction
-     * (call_once) and ThreadPool::submit are safe under contention. The
-     * row-sharded matrix is bit-identical for any worker count, so the
-     * pool never changes results.
-     */
-    util::ThreadPool *reorder_pool(size_t num_sets) const;
+    /** True when the IO strategy runs Match (and so needs node sets). */
+    bool uses_match() const;
 
     const graph::Dataset &dataset_;
     PipelineOptions opts_;
@@ -224,8 +240,13 @@ class Pipeline
     sim::KernelModel kernels_;
     compute::ComputeCostModel cost_model_;
     sample::BatchSplitter splitter_;
-    std::unique_ptr<sample::NeighborSampler> sampler_;
-    std::unique_ptr<sample::RandomWalkSampler> walk_sampler_;
+    /**
+     * One sampler per pool worker, built and sized on the constructing
+     * thread (scratch grown on pool threads would sit in per-thread
+     * malloc arenas and raise peak RSS). The first also serves the
+     * cache presample, and AsyncPipeline's producers borrow them.
+     */
+    std::vector<ThreadSampler> thread_samplers_;
     std::optional<match::StaticFeatureCache> cache_;
     int64_t cache_rows_ = 0;
     int trainers_ = 1;
@@ -233,8 +254,14 @@ class Pipeline
     uint64_t param_bytes_ = 0;
     int epoch_ = 0;
     std::vector<BatchStageTimes> last_stages_;
-    mutable std::once_flag match_pool_once_;
-    mutable std::unique_ptr<util::ThreadPool> match_pool_;
+    /**
+     * Host workers (min(hardware threads, 8)) that prepare each window
+     * and shard Reorder's pairwise overlap counts. Thread safe: gather
+     * threads of the overlapped executor call window_order
+     * concurrently. The sharded counts are bit-identical for any worker
+     * count, so the pool never changes results.
+     */
+    mutable util::ThreadPool pool_;
 };
 
 /** Analytic parameter byte count for @p config (no model instantiation). */

@@ -37,6 +37,9 @@ generate_rmat(const RmatParams &params)
 
     util::Rng rng(params.seed);
     GraphBuilder builder(params.num_nodes);
+    const auto budget =
+        static_cast<size_t>(std::max<EdgeId>(params.num_edges, 0));
+    builder.reserve(budget * (params.undirected ? 2 : 1));
     const double ab = params.a + params.b;
     const double abc = ab + params.c;
 
@@ -114,6 +117,11 @@ generate_power_law(const PowerLawParams &params)
         params.avg_degree * static_cast<double>(n) /
         (params.undirected ? 2.0 : 1.0));
     GraphBuilder builder(n);
+    // Drawn edges plus the ring backbone below.
+    const auto budget =
+        static_cast<size_t>(std::max<EdgeId>(target_edges, 0));
+    builder.reserve(budget * (params.undirected ? 2 : 1) +
+                    2 * static_cast<size_t>(n));
     for (EdgeId e = 0; e < target_edges; ++e) {
         NodeId u = draw();
         NodeId v = draw();
@@ -139,6 +147,8 @@ generate_ring(NodeId num_nodes, int chords_per_node, uint64_t seed)
     FASTGL_CHECK(num_nodes > 2, "ring needs at least 3 nodes");
     util::Rng rng(seed);
     GraphBuilder builder(num_nodes);
+    builder.reserve(2 * static_cast<size_t>(num_nodes) *
+                    static_cast<size_t>(1 + std::max(chords_per_node, 0)));
     for (NodeId u = 0; u < num_nodes; ++u) {
         builder.add_undirected_edge(u, (u + 1) % num_nodes);
         for (int c = 0; c < chords_per_node; ++c) {

@@ -29,6 +29,15 @@ class GraphBuilder
     /** Add both directions (undirected edge). */
     void add_undirected_edge(NodeId u, NodeId v);
 
+    /**
+     * Pre-size the edge list for @p num_edges directed edges. A
+     * generator that knows its edge budget calls this first: growing by
+     * doubling frees every outgrown buffer, and glibc keeps large freed
+     * blocks mapped, which raises the process's peak RSS long after the
+     * graph is built.
+     */
+    void reserve(size_t num_edges) { edges_.reserve(num_edges); }
+
     /** Number of edges added so far. */
     size_t edge_count() const { return edges_.size(); }
 

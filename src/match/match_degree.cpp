@@ -1,6 +1,7 @@
 #include "match/match_degree.h"
 
 #include <algorithm>
+#include <bit>
 
 namespace fastgl {
 namespace match {
@@ -71,11 +72,54 @@ intersect_sorted(std::span<const graph::NodeId> a,
     return detail::intersect_merge(a, b);
 }
 
-NodeSet::NodeSet(const std::vector<graph::NodeId> &nodes) : sorted_(nodes)
+NodeSet::NodeSet(const std::vector<graph::NodeId> &nodes)
 {
-    std::sort(sorted_.begin(), sorted_.end());
-    sorted_.erase(std::unique(sorted_.begin(), sorted_.end()),
-                  sorted_.end());
+    static thread_local std::vector<uint64_t> words;
+
+    uint64_t base = 0;
+    uint64_t range = 0;
+    bool dense = false;
+    if (nodes.size() >= detail::kBitmapMinSize) {
+        const auto [lo, hi] = std::minmax_element(nodes.begin(), nodes.end());
+        // Unsigned offsets: exact for any two IDs, where the signed
+        // difference overflows (INT64_MIN .. INT64_MAX).
+        base = static_cast<uint64_t>(*lo);
+        range = static_cast<uint64_t>(*hi) - base;
+        dense = static_cast<double>(nodes.size()) >=
+                detail::kBitmapMinDensity * (static_cast<double>(range) + 1.0);
+    }
+    if (!dense) {
+        sorted_ = nodes;
+        std::sort(sorted_.begin(), sorted_.end());
+        sorted_.erase(std::unique(sorted_.begin(), sorted_.end()),
+                      sorted_.end());
+        return;
+    }
+
+    // One bit per ID of the span; a duplicate sets the same bit. Reading
+    // the words in order yields the IDs sorted, and zeroing each word as
+    // it is read leaves the bitmap clear for the next set. sorted_ is
+    // reserved first, so the scan cannot throw halfway and leave bits.
+    const size_t num_words = static_cast<size_t>(range / 64) + 1;
+    if (words.size() < num_words)
+        words.resize(num_words, 0);
+    for (graph::NodeId v : nodes) {
+        const uint64_t rel = static_cast<uint64_t>(v) - base;
+        words[rel >> 6] |= uint64_t(1) << (rel & 63);
+    }
+    sorted_.reserve(nodes.size());
+    for (size_t w = 0; w < num_words; ++w) {
+        uint64_t bits = words[w];
+        if (bits == 0)
+            continue;
+        words[w] = 0;
+        const uint64_t word_base = base + (uint64_t(w) << 6);
+        do {
+            sorted_.push_back(static_cast<graph::NodeId>(
+                word_base + static_cast<uint64_t>(std::countr_zero(bits))));
+            bits &= bits - 1;
+        } while (bits != 0);
+    }
 }
 
 int64_t

@@ -43,7 +43,10 @@ int64_t intersect_gallop(std::span<const graph::NodeId> small,
 /** Size ratio at which galloping beats the merge (measured, ~8). */
 inline constexpr size_t kGallopRatio = 8;
 
-/** Minimum set size before a bitmap row build can pay for itself. */
+/**
+ * Minimum set size before a bitmap (a row build, or a NodeSet built
+ * through one) can pay for itself.
+ */
 inline constexpr size_t kBitmapMinSize = 128;
 
 /**
@@ -67,7 +70,13 @@ class NodeSet
   public:
     NodeSet() = default;
 
-    /** Build from an arbitrary node list (copies, sorts, dedups). */
+    /**
+     * Build from an arbitrary node list (copies, sorts, dedups). A list
+     * of at least detail::kBitmapMinSize IDs whose span is at least
+     * detail::kBitmapMinDensity dense is deduplicated through a
+     * thread-local bitmap of the span, read back in order; other lists
+     * are sorted. Both paths give the same set.
+     */
     explicit NodeSet(const std::vector<graph::NodeId> &nodes);
 
     /** Number of unique nodes. */

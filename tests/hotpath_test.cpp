@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <limits>
 #include <vector>
 
 #include "graph/generators.h"
@@ -237,6 +238,109 @@ TEST(Intersection, NodeSetUsesAdaptiveKernel)
                   reference_intersection(a, b));
         EXPECT_EQ(sa.intersection_size(sb), sb.intersection_size(sa));
     }
+}
+
+// ------------------------------------------------ NodeSet construction
+
+/**
+ * @p n IDs drawn from [lo, lo + span) (span >= 2) that include both ends,
+ * so the list's span is exactly @p span, in shuffled order.
+ */
+std::vector<graph::NodeId>
+ids_with_span(util::Rng &rng, size_t n, graph::NodeId lo, uint64_t span)
+{
+    const auto at = [lo](uint64_t offset) {
+        return static_cast<graph::NodeId>(static_cast<uint64_t>(lo) +
+                                          offset);
+    };
+    std::vector<graph::NodeId> v = {at(0), at(span - 1)};
+    while (v.size() < n)
+        v.push_back(at(rng.next_below(span)));
+    v.resize(n);
+    for (size_t i = v.size(); i > 1; --i)
+        std::swap(v[i - 1], v[rng.next_below(i)]);
+    return v;
+}
+
+std::vector<graph::NodeId>
+sort_unique(std::vector<graph::NodeId> v)
+{
+    std::sort(v.begin(), v.end());
+    v.erase(std::unique(v.begin(), v.end()), v.end());
+    return v;
+}
+
+TEST(NodeSet, BitmapBuildMatchesSortUniqueUnderFuzz)
+{
+    constexpr size_t kMin = match::detail::kBitmapMinSize;
+    // Widest span the bitmap path takes for n IDs (density 1/64).
+    const auto widest = [](size_t n) {
+        return static_cast<uint64_t>(
+            static_cast<double>(n) / match::detail::kBitmapMinDensity);
+    };
+    constexpr graph::NodeId kMax = std::numeric_limits<graph::NodeId>::max();
+    constexpr graph::NodeId kLowest =
+        std::numeric_limits<graph::NodeId>::min();
+    const struct
+    {
+        size_t n;
+        graph::NodeId lo;
+        uint64_t span;
+    } cases[] = {
+        // Heavy duplicates, dense.
+        {5000, 0, 300},
+        {50000, 1000, 40000},
+        // Both sides of the density threshold, at and above kMin.
+        {kMin, 0, widest(kMin)},
+        {kMin, 0, widest(kMin) + 1},
+        {4000, 77, widest(4000)},
+        {4000, 77, widest(4000) + 1},
+        // Both sides of the minimum size, dense.
+        {kMin - 1, 0, 200},
+        {kMin, 0, 200},
+        {kMin + 1, 0, 200},
+        // Negative IDs, and spans that cross zero.
+        {3000, -100000, 20000},
+        {3000, -7000, 9000},
+        // Next to the ends of the ID range: the span must not overflow.
+        {3000, kMax - 9999, 10000},
+        {3000, kLowest, 10000},
+        {3000, kLowest, std::numeric_limits<uint64_t>::max()},
+    };
+    util::Rng rng(4242);
+    for (const auto &c : cases) {
+        for (int rep = 0; rep < 4; ++rep) {
+            const auto ids = ids_with_span(rng, c.n, c.lo, c.span);
+            EXPECT_EQ(match::NodeSet(ids).sorted(), sort_unique(ids))
+                << "n=" << c.n << " lo=" << c.lo << " span=" << c.span;
+        }
+    }
+    // Full range: INT64_MIN and INT64_MAX in one list.
+    std::vector<graph::NodeId> extremes(kMin, 0);
+    extremes[0] = kMax;
+    extremes[1] = kLowest;
+    EXPECT_EQ(match::NodeSet(extremes).sorted(), sort_unique(extremes));
+    EXPECT_EQ(match::NodeSet(std::vector<graph::NodeId>{}).size(), 0);
+}
+
+TEST(NodeSet, ConcurrentBuildsMatchSortUnique)
+{
+    // Every thread owns its bitmap; builds of different spans on one
+    // pool must neither share bits nor leave any set for the next.
+    util::Rng rng(99);
+    std::vector<std::vector<graph::NodeId>> lists;
+    for (size_t i = 0; i < 64; ++i)
+        lists.push_back(ids_with_span(rng, 2000 + 37 * i,
+                                      static_cast<graph::NodeId>(i) * 500,
+                                      3000 + 100 * i));
+    std::vector<std::vector<graph::NodeId>> built(lists.size());
+    util::ThreadPool pool(4);
+    pool.parallel_for(lists.size(), [&](size_t begin, size_t end) {
+        for (size_t i = begin; i < end; ++i)
+            built[i] = match::NodeSet(lists[i]).sorted();
+    });
+    for (size_t i = 0; i < lists.size(); ++i)
+        EXPECT_EQ(built[i], sort_unique(lists[i])) << "list " << i;
 }
 
 // ------------------------------------------- parallel degree matrix

@@ -6,7 +6,9 @@
  */
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdio>
+#include <functional>
 
 #include "core/framework_config.h"
 #include "core/pipeline.h"
@@ -278,6 +280,77 @@ TEST(Pipeline, SerializedDatasetRunsIdentically)
     const auto b = reloaded.run_epoch();
     EXPECT_DOUBLE_EQ(a.epoch_seconds, b.epoch_seconds);
     EXPECT_EQ(a.nodes_loaded, b.nodes_loaded);
+}
+
+/** FNV-1a over the 64-bit words of one EpochResult. */
+uint64_t
+epoch_digest(uint64_t h, const core::EpochResult &r)
+{
+    const auto fold = [&h](uint64_t word) {
+        for (int i = 0; i < 8; ++i) {
+            h ^= (word >> (8 * i)) & 0xFF;
+            h *= 0x100000001B3ULL;
+        }
+    };
+    for (double v : {r.phases.sample, r.phases.id_map, r.phases.io,
+                     r.phases.compute, r.phases.allreduce, r.epoch_seconds})
+        fold(std::bit_cast<uint64_t>(v));
+    for (int64_t v : {r.batches, r.nodes_loaded, r.nodes_reused,
+                      r.cache_hits, r.sampled_instances, r.unique_nodes})
+        fold(static_cast<uint64_t>(v));
+    fold(r.bytes_loaded);
+    return h;
+}
+
+/** One pinned pipeline configuration: a preset plus edits. */
+struct GoldenEpochs
+{
+    const char *name;
+    uint64_t digest;
+    core::Framework fw;
+    std::function<void(core::PipelineOptions &)> configure;
+};
+
+TEST(Pipeline, GoldenEpochDigests)
+{
+    // Absolute digests of two consecutive epochs per configuration. The
+    // other pipeline tests compare runs with each other or check
+    // orderings, so a change that moves every run the same way passes
+    // them; it fails here. Change a value only when the modelled world
+    // is meant to move.
+    const auto keep = [](core::PipelineOptions &) {};
+    const std::vector<GoldenEpochs> runs = {
+        {"PyG", 0x2D51F476CE19A120ULL, core::Framework::kPyG, keep},
+        {"DGL", 0x335EA70C2D6302A8ULL, core::Framework::kDgl, keep},
+        {"GNNAdvisor", 0x53045513E885CD8BULL,
+         core::Framework::kGnnAdvisor, keep},
+        {"GNNLab", 0x6C1F0611471EF83EULL, core::Framework::kGnnLab,
+         keep},
+        {"FastGL", 0x5883E589D13B1B15ULL, core::Framework::kFastGL,
+         keep},
+        {"FastGL, random walk", 0x5DDC1E3FF047D696ULL,
+         core::Framework::kFastGL,
+         [](core::PipelineOptions &opts) { opts.use_random_walk = true; }},
+        {"FastGL, num_machines = 2", 0xA64B15F5E2A6C378ULL,
+         core::Framework::kFastGL,
+         [](core::PipelineOptions &opts) { opts.num_machines = 2; }},
+        {"FastGL, three windows per GPU", 0x27D1A7AB4D294464ULL,
+         core::Framework::kFastGL,
+         [](core::PipelineOptions &opts) {
+             opts.max_batches = 24;
+             opts.reorder_window = 4;
+         }},
+    };
+    for (const GoldenEpochs &run : runs) {
+        core::PipelineOptions opts = base_options(run.fw);
+        run.configure(opts);
+        core::Pipeline pipe(products(), opts);
+        uint64_t h = 0xCBF29CE484222325ULL;
+        h = epoch_digest(h, pipe.run_epoch());
+        h = epoch_digest(h, pipe.run_epoch());
+        EXPECT_EQ(h, run.digest)
+            << run.name << ": 0x" << std::hex << std::uppercase << h;
+    }
 }
 
 TEST(Pipeline, ModelParamBytesAnalytic)

@@ -53,7 +53,7 @@ if [[ "${FASTGL_TSAN:-0}" == "1" ]]; then
     run_config build-tsan -DFASTGL_SANITIZE=thread \
         -DCMAKE_BUILD_TYPE=RelWithDebInfo
     ctest --test-dir build-tsan --output-on-failure -j "$JOBS" \
-        -R 'BoundedQueue|ThreadPool|AsyncPipeline|Determinism|Serve|StageShutdown|ComputeKernels|Gather|FrequencyHashmap|FeaturePanel|MultiGpu|Partition|PeerTopology|OocStore|StorageLink|Prefetch|Profiler|Autoscale|ClosedLoop'
+        -R 'BoundedQueue|ThreadPool|AsyncPipeline|Determinism|Serve|StageShutdown|ComputeKernels|Gather|FrequencyHashmap|FeaturePanel|MultiGpu|Partition|PeerTopology|OocStore|StorageLink|Prefetch|Profiler|Autoscale|ClosedLoop|Pipeline|NodeSet|Intersection|MatchDegreeMatrix|Reorder'
 fi
 
 if [[ "${FASTGL_ASAN:-0}" == "1" ]]; then
